@@ -1,7 +1,8 @@
 # CI entry points. `make ci` is the gate: vet + sfavet (the first-party
 # static-analysis suite of docs/static-analysis.md) + build + docs checks
 # (markdown links + stale documented options) + race tests + fuzz smoke
-# runs (the multi-pattern match oracle and the snapshot decoder) + the
+# runs (match and engine oracles, the prefilter, the parser and the
+# snapshot decoder) + the served-path benchmark's self-tests + the
 # sfaserve serving smoke (server boot, rule load, hot reload under
 # concurrent streamed scans, Prometheus /metrics scrape + exposition
 # checks) + the snapshot smoke (save → reload → verify verdicts,
@@ -19,7 +20,7 @@
 GO ?= go
 BENCH_JSON ?= BENCH_9.json
 
-.PHONY: build vet lint test race docs-check fuzz-smoke serve-smoke snapshot-smoke bench-smoke bench-json ci
+.PHONY: build vet lint test race docs-check fuzz-smoke perfbench-test serve-smoke snapshot-smoke bench-smoke bench-json ci
 
 build:
 	$(GO) build ./...
@@ -50,11 +51,22 @@ race:
 
 # Exercise the fuzz corpora for a few seconds so the oracle cross-checks
 # actually run somewhere: FuzzMatch (combined vs isolated vs derivative
-# oracle) and FuzzLoadRuleSet (malformed snapshots must error, never
-# panic or over-allocate).
+# oracle), FuzzEngineAgreement (the default engine at two threads against
+# the derivative oracle), FuzzPrefilter (prefiltered vs unfiltered
+# verdicts), FuzzParse (the pattern parser must error, never panic) and
+# FuzzLoadRuleSet (malformed snapshots must error, never panic or
+# over-allocate).
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzMatch -fuzztime=10s -run '^$$' ./sfa
-	$(GO) test -fuzz=FuzzLoadRuleSet -fuzztime=10s -run '^$$' ./sfa
+	$(GO) test -fuzz='^FuzzMatch$$' -fuzztime=10s -run '^$$' ./sfa
+	$(GO) test -fuzz='^FuzzEngineAgreement$$' -fuzztime=10s -run '^$$' ./sfa
+	$(GO) test -fuzz='^FuzzPrefilter$$' -fuzztime=10s -run '^$$' ./sfa
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=10s -run '^$$' ./internal/syntax
+	$(GO) test -fuzz='^FuzzLoadRuleSet$$' -fuzztime=10s -run '^$$' ./sfa
+
+# perfbench/ is its own module (it replaces repro with ../), so the
+# root `go test ./...` never sees it; vet and test it here.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Serving subsystem smoke: boot the real sfaserve loop, load rules over
 # HTTP, hot-reload under concurrent streamed scans, assert shard reuse,
@@ -75,19 +87,19 @@ snapshot-smoke:
 # Keep the smoke run small: 1 MiB inputs, 2 iterations per benchmark.
 # 'Hotpath' also selects the StreamHotpath carried-mapping writes.
 bench-smoke:
-	SFA_BENCH_MB=1 $(GO) test -run '^$$' -bench 'Hotpath|Layout_' -benchtime 2x .
+	SFA_BENCH_MB=1 $(GO) test -run '^$$' -bench 'Hotpath|Walk_' -benchtime 2x .
 
-# Benchmark-trajectory snapshot: hot path + layouts + the multi-pattern
+# Benchmark-trajectory snapshot: hot path + row walks + the multi-pattern
 # RuleSet engines + the streaming writes + the cold-vs-warm rule-set
 # load pair, emitted as name → {ns/op, MB/s, allocs/op}. benchjson
 # doubles as the allocation gate: the pooled match hot path and the
 # streaming chunk hot path must stay at 0 allocs/op, each armed by its
 # own pattern.
 bench-json:
-	SFA_BENCH_MB=1 $(GO) test -run '^$$' -bench 'Hotpath|Layout_|RuleSet_' -benchtime 2x -benchmem . > bench.out
+	SFA_BENCH_MB=1 $(GO) test -run '^$$' -bench 'Hotpath|Walk_|RuleSet_' -benchtime 2x -benchmem . > bench.out
 	@cat bench.out
 	$(GO) run ./cmd/benchjson -in bench.out -out $(BENCH_JSON) \
 		-zero-alloc 'Hotpath.*Pooled' -zero-alloc 'StreamHotpath' \
 		-zero-alloc 'Instrumented' -zero-alloc 'FlightRecorded'
 
-ci: vet lint build docs-check race fuzz-smoke serve-smoke snapshot-smoke bench-smoke
+ci: vet lint build docs-check race fuzz-smoke perfbench-test serve-smoke snapshot-smoke bench-smoke

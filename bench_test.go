@@ -311,17 +311,6 @@ func BenchmarkAblation_ReductionTree_p8(b *testing.B) {
 	benchMatcher(b, engine.NewSFAParallel(f.s, 8, engine.ReduceTree), f.text, true)
 }
 
-func BenchmarkAblation_TableLayout256(b *testing.B) {
-	f := rnFixture(b, fig8N())
-	benchMatcher(b, engine.NewSFAParallel(f.s, 2, engine.ReduceSequential), f.text, true)
-}
-
-func BenchmarkAblation_TableLayoutClass(b *testing.B) {
-	f := rnFixture(b, fig8N())
-	benchMatcher(b, engine.NewSFAParallel(f.s, 2, engine.ReduceSequential,
-		engine.WithClassTable()), f.text, true)
-}
-
 func BenchmarkAblation_LazySFA(b *testing.B) {
 	f := rnFixture(b, 50)
 	m, err := engine.NewSFALazy(f.d, 2, 0)
@@ -349,31 +338,22 @@ func BenchmarkAblation_FrontendThompson(b *testing.B) {
 	}
 }
 
-// --- Hot path: persistent pool + width-specialized tables (ISSUE 1) ---
+// --- Hot path: persistent pool vs spawn-per-match ---
 //
-// The Hotpath pairs compare the seed engine configuration (goroutines
-// spawned per Match, int32 table — the paper's setup) against the pooled
-// default (persistent workers, narrowest table width that fits). The
-// r100 automaton (~40k SFA states) is the cache-sensitive regime: its
-// int32 table is ~40 MiB, the auto-selected u16 table half that.
-// Expected: pooled+auto ≥ 1.3× seed at p ≥ 4, and 0 allocs/op pooled.
+// The Hotpath pairs compare goroutines spawned per Match (the paper's
+// thread-creation semantics) against the pooled default (persistent
+// workers). Both walk the same byte-class rows. The r100 automaton
+// (~40k SFA states over 3 classes) is the cache-sensitive regime of
+// Fig. 8. Expected: 0 allocs/op pooled.
 
 func benchHotpath(b *testing.B, threads int, opts ...engine.Option) {
 	f := rnFixture(b, 100)
 	benchMatcher(b, engine.NewSFAParallel(f.s, threads, engine.ReduceSequential, opts...), f.text, true)
 }
 
-func BenchmarkHotpath_R100_Seed_p4(b *testing.B) {
-	benchHotpath(b, 4, engine.WithSpawn(), engine.WithLayout(engine.LayoutI32))
-}
+func BenchmarkHotpath_R100_Seed_p4(b *testing.B)   { benchHotpath(b, 4, engine.WithSpawn()) }
 func BenchmarkHotpath_R100_Pooled_p4(b *testing.B) { benchHotpath(b, 4) }
-func BenchmarkHotpath_R100_PooledI32_p4(b *testing.B) {
-	// Isolates the pool from the layout: pooled dispatch, seed table.
-	benchHotpath(b, 4, engine.WithLayout(engine.LayoutI32))
-}
-func BenchmarkHotpath_R100_Seed_p8(b *testing.B) {
-	benchHotpath(b, 8, engine.WithSpawn(), engine.WithLayout(engine.LayoutI32))
-}
+func BenchmarkHotpath_R100_Seed_p8(b *testing.B)   { benchHotpath(b, 8, engine.WithSpawn()) }
 func BenchmarkHotpath_R100_Pooled_p8(b *testing.B) { benchHotpath(b, 8) }
 
 // Small-input hot path: here per-call goroutine creation is the
@@ -383,25 +363,18 @@ func benchHotpathSmall(b *testing.B, opts ...engine.Option) {
 	benchMatcher(b, engine.NewSFAParallel(f.s, 4, engine.ReduceSequential, opts...), f.text[:100_000], true)
 }
 
-func BenchmarkHotpath_100KB_Seed_p4(b *testing.B) {
-	benchHotpathSmall(b, engine.WithSpawn(), engine.WithLayout(engine.LayoutI32))
-}
+func BenchmarkHotpath_100KB_Seed_p4(b *testing.B)   { benchHotpathSmall(b, engine.WithSpawn()) }
 func BenchmarkHotpath_100KB_Pooled_p4(b *testing.B) { benchHotpathSmall(b) }
 
-// Per-layout throughput (MB/s via the B/s column) on the same automaton.
-func benchLayout(b *testing.B, l engine.TableLayout) {
-	f := rnFixture(b, 100)
-	benchMatcher(b, engine.NewSFAParallel(f.s, 2, engine.ReduceSequential, engine.WithLayout(l)), f.text, true)
+// Row-walk throughput (MB/s via the B/s column): a small automaton whose
+// rows sit in L1 and the Fig. 8-style r100 one.
+func benchWalk(b *testing.B, n int) {
+	f := rnFixture(b, n)
+	benchMatcher(b, engine.NewSFAParallel(f.s, 2, engine.ReduceSequential), f.text, true)
 }
 
-func BenchmarkLayout_R100_U16_p2(b *testing.B)   { benchLayout(b, engine.LayoutU16) }
-func BenchmarkLayout_R100_I32_p2(b *testing.B)   { benchLayout(b, engine.LayoutI32) }
-func BenchmarkLayout_R100_Class_p2(b *testing.B) { benchLayout(b, engine.LayoutClass) }
-
-func BenchmarkLayout_R5_U8_p2(b *testing.B) {
-	f := rnFixture(b, 5)
-	benchMatcher(b, engine.NewSFAParallel(f.s, 2, engine.ReduceSequential, engine.WithLayout(engine.LayoutU8)), f.text, true)
-}
+func BenchmarkWalk_R5_p2(b *testing.B)   { benchWalk(b, 5) }
+func BenchmarkWalk_R100_p2(b *testing.B) { benchWalk(b, 100) }
 
 // --- RuleSet: combined multi-pattern D-SFA vs isolated engines (ISSUE 2) ---
 //

@@ -12,8 +12,7 @@
 //	sfabench fig6                         # thread-scaling sweep for r5
 //	sfabench -text-mb 256 fig8            # bigger input
 //	sfabench -fig8-n 500 -table3full all  # full paper scale (needs ~8 GiB)
-//	sfabench -layout i32 -pool=false fig6 # seed engine configuration
-//	sfabench -layout class fig8           # byte-class table ablation
+//	sfabench -pool=false fig6             # spawn goroutines per match
 package main
 
 import (
@@ -21,7 +20,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/engine"
 	"repro/internal/harness"
 )
 
@@ -34,7 +32,6 @@ func main() {
 	flag.IntVar(&cfg.SnortN, "snort-n", 2000, "Fig. 3 corpus size (paper: 20312)")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "workload seed")
 	flag.IntVar(&cfg.Repeats, "repeats", 3, "measurement repetitions (best kept)")
-	layout := flag.String("layout", "auto", "transition-table layout: auto|u8|u16|i32|class")
 	pool := flag.Bool("pool", true, "run matches on the persistent worker pool (false = spawn goroutines per Match, the paper's thread-creation semantics)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: sfabench [flags] <experiment>...\n")
@@ -43,11 +40,6 @@ func main() {
 	}
 	flag.Parse()
 	cfg.Spawn = !*pool
-	var err error
-	if cfg.Layout, err = engine.ParseLayout(*layout); err != nil {
-		fmt.Fprintf(os.Stderr, "sfabench: %v\n", err)
-		os.Exit(2)
-	}
 	cfg.Out = os.Stdout
 
 	args := flag.Args()

@@ -283,7 +283,8 @@ func (s *DSFA) Accepts(text []byte) bool {
 }
 
 // Table256 materializes the flat 256-wide transition table (1 KB per SFA
-// state, the layout whose cache behaviour Fig. 8 studies).
+// state, the paper's layout). Only the C code generator emits it; the
+// matching engines walk byte-class rows.
 func (s *DSFA) Table256() []int32 {
 	nc := s.D.BC.Count
 	t := make([]int32, s.NumStates*256)
@@ -316,7 +317,7 @@ func ApplyVec(f []int16, q int32) int32 { return int32(f[q]) }
 
 // MemoryBytes estimates the resident size of the SFA's match-time tables:
 // the class-indexed transition table plus the mapping vectors needed for
-// reduction. The 256-wide table adds NumStates KiB on top when expanded.
+// reduction. The engines' pre-multiplied rows add len(NextC)·4 bytes.
 func (s *DSFA) MemoryBytes() int64 {
 	return int64(len(s.NextC))*4 + int64(len(s.maps))*2
 }

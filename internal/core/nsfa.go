@@ -140,6 +140,9 @@ func (s *NSFA) LiveSize() int {
 	return s.NumStates
 }
 
+// BC returns the byte classes NextC is indexed by.
+func (s *NSFA) BC() *nfa.ByteClasses { return s.t.BC }
+
 // NextByte returns the successor of N-SFA state id on input byte b.
 func (s *NSFA) NextByte(id int32, b byte) int32 {
 	return s.NextC[int(id)*s.t.BC.Count+int(s.t.BC.Of[b])]

@@ -8,15 +8,8 @@ import (
 	"repro/internal/syntax"
 )
 
-func TestWidthPredicates(t *testing.T) {
-	if !FitsU8(256) || FitsU8(257) {
-		t.Error("FitsU8 boundary wrong")
-	}
-	if !FitsU16(1<<16) || FitsU16(1<<16+1) {
-		t.Error("FitsU16 boundary wrong")
-	}
-}
-
+// TestDSFAWidthTablesAgree checks the flat 256-wide table the C code
+// generator emits against the class-indexed table at every (state, byte).
 func TestDSFAWidthTablesAgree(t *testing.T) {
 	for _, pat := range []string{"(ab)*", "([0-4]{2}[5-9]{2})*", "(a|b)*abb"} {
 		d := dfa.MustCompilePattern(pat)
@@ -25,22 +18,27 @@ func TestDSFAWidthTablesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		wide := s.Table256()
-		t16 := s.Table256U16()
-		var t8 []uint8
-		if FitsU8(s.NumStates) {
-			t8 = s.Table256U8()
+		if len(wide) != s.NumStates*256 {
+			t.Fatalf("%s: Table256 has %d entries, want %d", pat, len(wide), s.NumStates*256)
 		}
-		for i := range wide {
-			if int32(t16[i]) != wide[i] {
-				t.Fatalf("%s: u16[%d] = %d, i32 = %d", pat, i, t16[i], wide[i])
-			}
-			if t8 != nil && int32(t8[i]) != wide[i] {
-				t.Fatalf("%s: u8[%d] = %d, i32 = %d", pat, i, t8[i], wide[i])
+		for q := int32(0); q < int32(s.NumStates); q++ {
+			for b := 0; b < 256; b++ {
+				got := wide[int(q)<<8|b]
+				if got != s.NextByte(q, byte(b)) {
+					t.Fatalf("%s: i32 table disagrees with NextByte at (%d, %d)", pat, q, b)
+				}
+				if got < 0 || int(got) >= s.NumStates {
+					t.Fatalf("%s: entry (%d, %d) = %d out of range", pat, q, b, got)
+				}
 			}
 		}
 	}
 }
 
+// TestNSFAWidthTablesAgree checks the N-SFA class-indexed table against
+// the correspondence semantics at every (state, byte): the successor of
+// f on b is the matrix product f ⊙ δ_b, where δ_b is the start
+// (identity) state's successor on b.
 func TestNSFAWidthTablesAgree(t *testing.T) {
 	for _, pat := range []string{"(ab)*", "(a|bc)*", "([ab]{3}c)*"} {
 		node := syntax.MustParse(pat, 0)
@@ -52,46 +50,20 @@ func TestNSFAWidthTablesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide := s.Table256()
+		n, words := a.NumStates, s.Words()
+		h := make([]uint64, n*words)
 		for q := int32(0); q < int32(s.NumStates); q++ {
 			for b := 0; b < 256; b++ {
-				if wide[int(q)<<8|b] != s.NextByte(q, byte(b)) {
-					t.Fatalf("%s: i32 table disagrees with NextByte at (%d, %d)", pat, q, b)
+				next := s.NextByte(q, byte(b))
+				if next < 0 || int(next) >= s.NumStates {
+					t.Fatalf("%s: entry (%d, %d) = %d out of range", pat, q, b, next)
+				}
+				clear(h)
+				ComposeMat(h, s.Mat(q), s.Mat(s.NextByte(s.Start, byte(b))), n, words)
+				if !eqWords(h, s.Mat(next)) {
+					t.Fatalf("%s: class table disagrees with f ⊙ δ_b at (%d, %d)", pat, q, b)
 				}
 			}
 		}
-		t16 := s.Table256U16()
-		var t8 []uint8
-		if FitsU8(s.NumStates) {
-			t8 = s.Table256U8()
-		}
-		for i := range wide {
-			if int32(t16[i]) != wide[i] {
-				t.Fatalf("%s: u16[%d] diverges", pat, i)
-			}
-			if t8 != nil && int32(t8[i]) != wide[i] {
-				t.Fatalf("%s: u8[%d] diverges", pat, i)
-			}
-		}
 	}
-}
-
-func TestTablePanicsWhenTooWide(t *testing.T) {
-	// A DSFA never has > 256 states for these tiny patterns, so assert
-	// the guard directly through the predicate contract instead: the
-	// panic paths fire on misuse.
-	d := dfa.MustCompilePattern("([0-4]{3}[5-9]{3})*")
-	s, err := BuildDSFA(d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if FitsU8(s.NumStates) {
-		t.Skip("automaton fits u8; panic path not reachable here")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Table256U8 did not panic for too-wide automaton")
-		}
-	}()
-	s.Table256U8()
 }

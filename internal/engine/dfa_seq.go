@@ -6,37 +6,22 @@ import (
 	"repro/internal/syntax"
 )
 
-// DFASequential is the paper's Algorithm 2: one state, one flat-table
-// lookup per input byte. The table layout is 256 int32 entries per state
-// (1 KB), as in the paper's implementation.
+// DFASequential is the paper's Algorithm 2: one state, one table lookup
+// per input byte, through the same byte-class rows the parallel engines
+// walk (the paper used 256 int32 entries per state).
 type DFASequential struct {
 	d   *dfa.DFA
-	tab []int32
+	tab rows
 }
 
-// NewDFASequential compiles the matcher (materializing the 256-wide
-// table; the class-indexed table stays available through d).
+// NewDFASequential compiles the matcher.
 func NewDFASequential(d *dfa.DFA) *DFASequential {
-	return &DFASequential{d: d, tab: d.Table256()}
+	return &DFASequential{d: d, tab: newRows(d.NextC, d.BC)}
 }
 
 // Match implements Algorithm 2.
 func (m *DFASequential) Match(text []byte) bool {
-	q := m.d.Start
-	tab := m.tab
-	for _, b := range text {
-		q = tab[int(q)<<8|int(b)]
-	}
-	return m.d.Accept[q]
-}
-
-// Final returns the destination state (used by tests).
-func (m *DFASequential) Final(text []byte) int32 {
-	q := m.d.Start
-	for _, b := range text {
-		q = m.tab[int(q)<<8|int(b)]
-	}
-	return q
+	return m.d.Accept[m.tab.walk(m.d.Start, text)]
 }
 
 // Name implements Matcher.

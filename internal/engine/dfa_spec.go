@@ -20,8 +20,7 @@ type DFASpeculative struct {
 	d       *dfa.DFA
 	threads int
 	red     Reduction
-	layout  TableLayout
-	tab     tables
+	tab     rows
 	spawn   bool
 	pool    *Pool
 	ctxs    sync.Pool // of *specCtx
@@ -38,42 +37,14 @@ func NewDFASpeculative(d *dfa.DFA, threads int, red Reduction, opts ...Option) *
 		d:       d,
 		threads: threads,
 		red:     red,
-		layout:  resolveLayout(o.layout, d.NumStates),
+		tab:     newRows(d.NextC, d.BC),
 		spawn:   o.spawn,
 		pool:    o.pool,
-	}
-	switch m.layout {
-	case LayoutU8:
-		m.tab.u8 = table256U8DFA(d)
-	case LayoutU16:
-		m.tab.u16 = table256U16DFA(d)
-	case LayoutI32:
-		m.tab.i32 = d.Table256()
 	}
 	m.ctxs.New = func() any {
 		return &specCtx{m: m, maps: make([]int32, m.threads*d.NumStates)}
 	}
 	return m
-}
-
-func table256U8DFA(d *dfa.DFA) []uint8 {
-	t := make([]uint8, d.NumStates*256)
-	for q := int32(0); q < int32(d.NumStates); q++ {
-		for b := 0; b < 256; b++ {
-			t[int(q)<<8|b] = uint8(d.NextByte(q, byte(b)))
-		}
-	}
-	return t
-}
-
-func table256U16DFA(d *dfa.DFA) []uint16 {
-	t := make([]uint16, d.NumStates*256)
-	for q := int32(0); q < int32(d.NumStates); q++ {
-		for b := 0; b < 256; b++ {
-			t[int(q)<<8|b] = uint16(d.NextByte(q, byte(b)))
-		}
-	}
-	return t
 }
 
 // specCtx is the per-Match scratch: the p chunk mappings (flat, p × |D|)
@@ -129,44 +100,24 @@ func (m *DFASpeculative) reduce(c *specCtx) bool {
 }
 
 // simulateChunkInto computes T[q] = destination of q over the chunk, for
-// all q (lines 2–7 of Algorithm 3), through the resolved table layout.
+// all q (lines 2–7 of Algorithm 3), through the engine's rows. The loop
+// runs byte-outer as the algorithm is written: per byte, the |D| row
+// loads are independent of each other, so they overlap instead of
+// forming the single-state walker's serial chain. T holds row offsets
+// until the chunk ends.
 func (m *DFASpeculative) simulateChunkInto(t []int32, chunk []byte) {
-	n := m.d.NumStates
+	next, classOf, nc := m.tab.next, m.tab.classOf, m.tab.classes
 	for q := range t {
-		t[q] = int32(q)
+		t[q] = int32(uint32(q) * nc)
 	}
-	switch m.layout {
-	case LayoutU8:
-		tab := m.tab.u8
-		for _, b := range chunk {
-			base := uint32(b)
-			for q := 0; q < n; q++ {
-				t[q] = int32(tab[uint32(t[q])<<8|base])
-			}
+	for _, b := range chunk {
+		c := uint32(classOf[b])
+		for q, o := range t {
+			t[q] = int32(next[uint32(o)+c])
 		}
-	case LayoutU16:
-		tab := m.tab.u16
-		for _, b := range chunk {
-			base := uint32(b)
-			for q := 0; q < n; q++ {
-				t[q] = int32(tab[uint32(t[q])<<8|base])
-			}
-		}
-	case LayoutClass:
-		d := m.d
-		for _, b := range chunk {
-			for q := 0; q < n; q++ {
-				t[q] = d.NextByte(t[q], b)
-			}
-		}
-	default:
-		tab := m.tab.i32
-		for _, b := range chunk {
-			base := int(b)
-			for q := 0; q < n; q++ {
-				t[q] = tab[int(t[q])<<8|base]
-			}
-		}
+	}
+	for q, o := range t {
+		t[q] = int32(uint32(o) / nc)
 	}
 }
 
@@ -184,5 +135,5 @@ func (m *DFASpeculative) Name() string {
 	if m.spawn {
 		mode = "-spawn"
 	}
-	return fmt.Sprintf("dfa-spec-p%d-%s-%s%s", m.threads, m.red, m.layout, mode)
+	return fmt.Sprintf("dfa-spec-p%d-%s%s", m.threads, m.red, mode)
 }

@@ -45,13 +45,11 @@ func allEngines(t *testing.T, pattern string, threads int) []Matcher {
 		NewDFASpeculative(d, threads, ReduceSequential, WithSpawn()),
 		NewSFAParallel(s, threads, ReduceSequential),
 		NewSFAParallel(s, threads, ReduceTree),
-		NewSFAParallel(s, threads, ReduceSequential, WithClassTable()),
-		NewSFAParallel(s, threads, ReduceSequential, WithLayout(LayoutI32), WithSpawn()),
-		NewSFAParallel(s, threads, ReduceTree, WithLayout(LayoutU16)),
+		NewSFAParallel(s, threads, ReduceSequential, WithSpawn()),
 		lazy,
 		NewNSFAParallel(ns, threads, ReduceSequential),
 		NewNSFAParallel(ns, threads, ReduceTree),
-		NewNSFAParallel(ns, threads, ReduceTree, WithClassTable()),
+		NewNSFAParallel(ns, threads, ReduceTree, WithSpawn()),
 	}
 }
 

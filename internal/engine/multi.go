@@ -13,8 +13,8 @@ import (
 // underlying D-SFA was built from a combined DFA whose states carry a
 // per-rule accept bitmask, so one parallel pass over the input reports
 // every matching rule at once. The per-byte cost is unchanged — one table
-// lookup per byte per thread through the same width-specialized layouts
-// as the single-pattern engine — and the reduction is the O(p) sequential
+// lookup per byte per thread through the same byte-class rows as the
+// single-pattern engine — and the reduction is the O(p) sequential
 // fold of chunk mappings, finishing with one bitmask row copy instead of
 // one bool read.
 //
@@ -26,8 +26,7 @@ type MultiSFA struct {
 	words   int      // mask words per combined-DFA state
 	masks   []uint64 // DFA-state-indexed accept bitmasks, stride words
 	threads int
-	layout  TableLayout // resolved; never LayoutAuto
-	tab     tables
+	tab     rows
 	spawn   bool
 	pool    *Pool
 	id      uint64    // process-unique build id (see BuildID)
@@ -68,7 +67,7 @@ func NewMultiSFA(s *core.DSFA, masks []uint64, words, threads int, opts ...Optio
 		words:   words,
 		masks:   masks,
 		threads: threads,
-		layout:  resolveLayout(o.layout, s.NumStates),
+		tab:     newRows(s.NextC, s.BC()),
 		spawn:   o.spawn,
 		pool:    o.pool,
 		id:      id,
@@ -76,14 +75,6 @@ func NewMultiSFA(s *core.DSFA, masks []uint64, words, threads int, opts ...Optio
 	if o.stats != nil {
 		m.stats = o.stats
 		m.boundary = &obs.StateFreq{}
-	}
-	switch m.layout {
-	case LayoutU8:
-		m.tab.u8 = s.Table256U8()
-	case LayoutU16:
-		m.tab.u16 = s.Table256U16()
-	case LayoutI32:
-		m.tab.i32 = s.Table256()
 	}
 	m.ctxs.New = func() any {
 		return &multiCtx{m: m, locals: make([]int32, m.threads)}
@@ -107,15 +98,7 @@ func (c *multiCtx) runChunk(i int) {
 }
 
 func (m *MultiSFA) runChunk(chunk []byte) int32 {
-	if m.layout == LayoutClass {
-		q := m.s.Start
-		d := m.s
-		for _, b := range chunk {
-			q = d.NextByte(q, b)
-		}
-		return q
-	}
-	return m.tab.run(m.layout, m.s.Start, chunk)
+	return m.tab.walk(m.s.Start, chunk)
 }
 
 // finalState folds the p chunk mappings into the combined-DFA state the
@@ -200,11 +183,8 @@ func (m *MultiSFA) Masks() []uint64 { return m.masks }
 // SFA exposes the combined automaton (stats reporting).
 func (m *MultiSFA) SFA() *core.DSFA { return m.s }
 
-// Layout returns the resolved table layout.
-func (m *MultiSFA) Layout() TableLayout { return m.layout }
-
-// TableBytes returns the resident size of the materialized match table.
-func (m *MultiSFA) TableBytes() int64 { return m.tab.memoryBytes() }
+// TableBytes returns the resident size of the engine's rows.
+func (m *MultiSFA) TableBytes() int64 { return m.tab.bytes() }
 
 // Name implements Matcher.
 func (m *MultiSFA) Name() string {
@@ -212,5 +192,5 @@ func (m *MultiSFA) Name() string {
 	if m.spawn {
 		mode = "-spawn"
 	}
-	return fmt.Sprintf("multi-sfa-p%d-%s%s", m.threads, m.layout, mode)
+	return fmt.Sprintf("multi-sfa-p%d%s", m.threads, mode)
 }

@@ -255,7 +255,7 @@ func (m *LazyMultiSFA) Info() Info {
 type Info struct {
 	DFAStates  int    // eager: combined minimal DFA live states; lazy: Σ|Di|
 	SFAStates  int    // eager: combined D-SFA live states; lazy: resident tuple states
-	Layout     string // transition-table layout, or "lazy"
+	Layout     string // "class" (eager byte-class rows) or "lazy"
 	TableBytes int64  // resident table bytes (lazy: budget-charged bytes)
 
 	Lazy          bool  // engine builds states on demand under a budget
@@ -286,7 +286,7 @@ func (m *MultiSFA) Info() Info {
 	inf := Info{
 		DFAStates:  m.s.D.LiveSize(),
 		SFAStates:  m.s.LiveSize(),
-		Layout:     m.layout.String(),
+		Layout:     "class",
 		TableBytes: m.TableBytes(),
 	}
 	if m.boundary != nil {

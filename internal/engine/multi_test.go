@@ -41,16 +41,13 @@ func TestMultiSFAMaskAgreesAcrossThreadsAndLayouts(t *testing.T) {
 			t.Fatalf("input len %d: bit 0 %v, DFA accepts %v", len(in), want&1 != 0, accepts)
 		}
 		for _, threads := range []int{2, 3, 8} {
-			for _, l := range []TableLayout{LayoutAuto, LayoutU16, LayoutI32, LayoutClass} {
-				m, _ := multiFixture(t, threads, WithLayout(l))
-				got := m.MatchMask(in, make([]uint64, 1))[0]
-				if got != want {
-					t.Fatalf("input len %d p=%d layout=%s: mask %x, want %x",
-						len(in), threads, l, got, want)
-				}
-				if m.Match(in) != (want != 0) {
-					t.Fatalf("input len %d p=%d: Match disagrees with mask", len(in), threads)
-				}
+			m, _ := multiFixture(t, threads)
+			got := m.MatchMask(in, make([]uint64, 1))[0]
+			if got != want {
+				t.Fatalf("input len %d p=%d: mask %x, want %x", len(in), threads, got, want)
+			}
+			if m.Match(in) != (want != 0) {
+				t.Fatalf("input len %d p=%d: Match disagrees with mask", len(in), threads)
 			}
 		}
 	}

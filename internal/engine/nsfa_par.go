@@ -20,8 +20,7 @@ type NSFAParallel struct {
 	s       *core.NSFA
 	threads int
 	red     Reduction
-	layout  TableLayout
-	tab     tables
+	tab     rows
 	spawn   bool
 	pool    *Pool
 	ctxs    sync.Pool // of *nsfaCtx
@@ -37,17 +36,9 @@ func NewNSFAParallel(s *core.NSFA, threads int, red Reduction, opts ...Option) *
 		s:       s,
 		threads: threads,
 		red:     red,
-		layout:  resolveLayout(o.layout, s.NumStates),
+		tab:     newRows(s.NextC, s.BC()),
 		spawn:   o.spawn,
 		pool:    o.pool,
-	}
-	switch m.layout {
-	case LayoutU8:
-		m.tab.u8 = s.Table256U8()
-	case LayoutU16:
-		m.tab.u16 = s.Table256U16()
-	case LayoutI32:
-		m.tab.i32 = s.Table256()
 	}
 	m.ctxs.New = func() any {
 		words := s.Words()
@@ -74,18 +65,7 @@ type nsfaCtx struct {
 
 func (c *nsfaCtx) runChunk(i int) {
 	lo, hi := span(len(c.text), c.m.threads, i)
-	c.locals[i] = c.m.runChunk(c.text[lo:hi])
-}
-
-func (m *NSFAParallel) runChunk(chunk []byte) int32 {
-	if m.layout == LayoutClass {
-		q := m.s.Start
-		for _, b := range chunk {
-			q = m.s.NextByte(q, b)
-		}
-		return q
-	}
-	return m.tab.run(m.layout, m.s.Start, chunk)
+	c.locals[i] = c.m.tab.walk(c.m.s.Start, c.text[lo:hi])
 }
 
 // Match implements Algorithm 5 for the general (NFA-derived) case.
@@ -153,5 +133,5 @@ func (m *NSFAParallel) Name() string {
 	if m.spawn {
 		mode = "-spawn"
 	}
-	return fmt.Sprintf("nsfa-p%d-%s-%s%s", m.threads, m.red, m.layout, mode)
+	return fmt.Sprintf("nsfa-p%d-%s%s", m.threads, m.red, mode)
 }

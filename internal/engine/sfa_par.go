@@ -24,8 +24,7 @@ type SFAParallel struct {
 	s       *core.DSFA
 	threads int
 	red     Reduction
-	layout  TableLayout // resolved; never LayoutAuto
-	tab     tables
+	tab     rows
 	spawn   bool
 	pool    *Pool
 	ctxs    sync.Pool // of *sfaCtx
@@ -47,21 +46,13 @@ func NewSFAParallel(s *core.DSFA, threads int, red Reduction, opts ...Option) *S
 		s:       s,
 		threads: threads,
 		red:     red,
-		layout:  resolveLayout(o.layout, s.NumStates),
+		tab:     newRows(s.NextC, s.BC()),
 		spawn:   o.spawn,
 		pool:    o.pool,
 	}
 	if o.stats != nil {
 		m.stats = o.stats
 		m.boundary = &obs.StateFreq{}
-	}
-	switch m.layout {
-	case LayoutU8:
-		m.tab.u8 = s.Table256U8()
-	case LayoutU16:
-		m.tab.u16 = s.Table256U16()
-	case LayoutI32:
-		m.tab.i32 = s.Table256()
 	}
 	m.ctxs.New = func() any {
 		return &sfaCtx{m: m, locals: make([]int32, m.threads)}
@@ -88,17 +79,9 @@ func (c *sfaCtx) runChunk(i int) {
 	c.locals[i] = c.m.runChunk(c.text[lo:hi])
 }
 
-// runChunk walks one chunk through the resolved table layout.
+// runChunk walks one chunk from the identity through the rows.
 func (m *SFAParallel) runChunk(chunk []byte) int32 {
-	if m.layout == LayoutClass {
-		q := m.s.Start
-		d := m.s
-		for _, b := range chunk {
-			q = d.NextByte(q, b)
-		}
-		return q
-	}
-	return m.tab.run(m.layout, m.s.Start, chunk)
+	return m.tab.walk(m.s.Start, chunk)
 }
 
 // Match implements Algorithm 5.
@@ -144,12 +127,8 @@ func (m *SFAParallel) reduce(locals []int32, ar *reduceArena16) bool {
 // SFA exposes the underlying automaton (harness reporting).
 func (m *SFAParallel) SFA() *core.DSFA { return m.s }
 
-// Layout returns the resolved table layout.
-func (m *SFAParallel) Layout() TableLayout { return m.layout }
-
-// TableBytes returns the resident size of the materialized match table
-// (0 for LayoutClass, which walks the class-indexed table in core).
-func (m *SFAParallel) TableBytes() int64 { return m.tab.memoryBytes() }
+// TableBytes returns the resident size of the engine's rows.
+func (m *SFAParallel) TableBytes() int64 { return m.tab.bytes() }
 
 // Name implements Matcher.
 func (m *SFAParallel) Name() string {
@@ -157,5 +136,5 @@ func (m *SFAParallel) Name() string {
 	if m.spawn {
 		mode = "-spawn"
 	}
-	return fmt.Sprintf("sfa-p%d-%s-%s%s", m.threads, m.red, m.layout, mode)
+	return fmt.Sprintf("sfa-p%d-%s%s", m.threads, m.red, mode)
 }

@@ -34,11 +34,7 @@ func (c Config) Fig10() error {
 	// column shows the same engine on the persistent worker pool, i.e.
 	// what the overhead study looks like once thread creation is hoisted
 	// out of the call.
-	// Both knobs are pinned to the seed configuration (spawned
-	// goroutines AND the int32 table) so the headline column differs
-	// from the seed in nothing but measurement noise.
-	par := engine.NewSFAParallel(s, 2, engine.ReduceSequential,
-		engine.WithSpawn(), engine.WithLayout(engine.LayoutI32))
+	par := engine.NewSFAParallel(s, 2, engine.ReduceSequential, engine.WithSpawn())
 	pooled := engine.NewSFAParallel(s, 2, engine.ReduceSequential)
 
 	full := textgen.EvenOddText(1_000_000, c.Seed)

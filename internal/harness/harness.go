@@ -8,6 +8,16 @@
 // Absolute numbers differ from the paper's 2013 dual-Xeon testbed; the
 // shapes — who wins, by what factor, where the crossover falls — are the
 // reproduction targets. See EXPERIMENTS.md for paper-vs-measured.
+//
+// Deviation from the paper's setup: the paper's engines walk a 256-wide
+// int32 table (1 KiB per state). Every engine here — the Alg. 2/3
+// baselines as well as the SFA — walks pre-multiplied byte-class rows
+// (4 B per state per byte class; see internal/engine/README.md), so
+// Figs. 6–10 compare like with like, but the cache footprint Fig. 8
+// studies is far smaller than the paper's: r150's rows take about 1 MiB
+// where the paper's table would take 88 MiB. Fig. 6–9 headers and
+// ablation A2 print both footprints; the int32 one is computed from the
+// state count, never built.
 package harness
 
 import (
@@ -43,23 +53,15 @@ type Config struct {
 	// Repeats per measurement; the best time is kept (paper-style
 	// steady-state throughput).
 	Repeats int
-	// Layout selects the transition-table layout of the parallel engines
-	// (engine.LayoutAuto picks the narrowest width that fits the
-	// automaton). Flag strings are parsed once at the CLI boundary with
-	// engine.ParseLayout.
-	Layout engine.TableLayout
 	// Spawn restores spawn-per-match goroutine creation — the seed/paper
 	// behaviour, whose per-call cost Fig. 10 measures — instead of the
 	// persistent worker pool.
 	Spawn bool
 }
 
-// engineOpts translates the Layout/Spawn knobs into engine options.
+// engineOpts translates the Spawn knob into engine options.
 func (c Config) engineOpts() []engine.Option {
 	var opts []engine.Option
-	if c.Layout != engine.LayoutAuto {
-		opts = append(opts, engine.WithLayout(c.Layout))
-	}
 	if c.Spawn {
 		opts = append(opts, engine.WithSpawn())
 	}

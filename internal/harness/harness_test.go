@@ -116,7 +116,7 @@ func TestAblationsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"A1/A5", "A2", "A3", "A4", "tree-reduce", "layout", "class", "auto→", "materializing"} {
+	for _, want := range []string{"A1/A5", "A2", "A3", "A4", "tree-reduce", "layout", "class rows", "i32-256", "materializing"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q", want)
 		}

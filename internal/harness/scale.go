@@ -79,8 +79,8 @@ func (c Config) scale(spec scaleSpec) error {
 		return err
 	}
 	text := spec.text(c)
-	c.printf("measured: |D|=%d |Sd|=%d classes=%d input=%d MiB; SFA table %d KiB\n",
-		d.LiveSize(), s.LiveSize(), d.BC.Count, len(text)>>20, s.NumStates)
+	c.printf("measured: |D|=%d |Sd|=%d classes=%d input=%d MiB; SFA rows %d KiB (paper's int32 table: %d KiB)\n",
+		d.LiveSize(), s.LiveSize(), d.BC.Count, len(text)>>20, s.NumStates*d.BC.Count*4>>10, s.NumStates)
 
 	seq := engine.NewDFASequential(d)
 	if !seq.Match(text) {

@@ -172,8 +172,8 @@ type DecodedShard struct {
 // CRC before any automaton or table is materialized and validating every
 // structural invariant (state counts, transition targets, mask widths,
 // stray mask bits) so a corrupt blob errors instead of reaching the
-// zero-allocation match path. Matching options (Threads, Layout, Pool,
-// Spawn) come from o; the persisted BuildID is adopted.
+// zero-allocation match path. Matching options (Threads, Pool, Spawn)
+// come from o; the persisted BuildID is adopted.
 func DecodeShard(r io.Reader, o Options) (*DecodedShard, error) {
 	o = o.withDefaults()
 	cr := binio.NewCRCReader(r)

@@ -44,8 +44,6 @@ type Options struct {
 	// Threads is the chunk parallelism of each shard's pass
 	// (0 = GOMAXPROCS).
 	Threads int
-	// Layout selects the transition-table layout (default LayoutAuto).
-	Layout engine.TableLayout
 	// Pool overrides the engine's process-wide worker pool.
 	Pool *engine.Pool
 	// Spawn restores spawn-per-match goroutine creation (Fig. 10
@@ -77,9 +75,9 @@ type Options struct {
 	// cache directory shared between differently-configured processes
 	// can never serve a shard built under a larger budget into a
 	// process with a smaller one, nor a tuple-built shard into a
-	// VectorIntern A/B run. Layout is deliberately not part of the key:
-	// decoding re-materializes match tables under the loading process's
-	// options. nil disables caching.
+	// VectorIntern A/B run. Match tables are not part of the entry:
+	// decoding rebuilds the engine's rows from the persisted
+	// class-indexed table. nil disables caching.
 	Cache ShardCache
 	// Lazy enables the lazy shard mode: rules whose estimated combined
 	// D-SFA exceeds the shard budget — the ones the eager planner would
@@ -124,8 +122,9 @@ type Options struct {
 // within a few MiB.
 const defaultDFABudget = 20_000
 
-// defaultSFABudget bounds the per-shard D-SFA: 1<<15 states resolve to
-// the u16 table layout at 512 B per state — a 16 MiB ceiling per shard.
+// defaultSFABudget bounds the per-shard D-SFA: 1<<15 states at 4 B per
+// state per byte class of the engine's rows — 16 MiB per shard even at
+// 128 classes.
 const defaultSFABudget = 1 << 15
 
 func (o Options) withDefaults() Options {
@@ -155,9 +154,6 @@ func (o Options) budget() *core.TableBudget {
 // engineOpts translates the engine-facing knobs.
 func (o Options) engineOpts() []engine.Option {
 	var opts []engine.Option
-	if o.Layout != engine.LayoutAuto {
-		opts = append(opts, engine.WithLayout(o.Layout))
-	}
 	if o.Pool != nil {
 		opts = append(opts, engine.WithPool(o.Pool))
 	}

@@ -183,15 +183,14 @@ func (p *parser) parseRepeat() (*Node, error) {
 		default:
 			return n, nil
 		}
-		if n.Op != OpClass && anchorOperand(n) {
+		// Judge the operand as Parse's final Simplify will leave it, so
+		// "(()$)*" is rejected like "$*", the form it prints as.
+		n.Sub[0] = Simplify(n.Sub[0])
+		if n.Sub[0].Op == OpAnchor {
 			return nil, p.errorf("repetition of anchor")
 		}
 	}
 	return n, nil
-}
-
-func anchorOperand(n *Node) bool {
-	return len(n.Sub) == 1 && n.Sub[0].Op == OpAnchor
 }
 
 // tryParseCounts parses "{n}", "{n,}", or "{n,m}" starting at '{'.

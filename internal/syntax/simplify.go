@@ -50,7 +50,17 @@ func Simplify(n *Node) *Node {
 			case OpNone:
 				// ∅ is the unit of alternation.
 			case OpAlt:
-				subs = append(subs, s.Sub...)
+				// A nested alternation is already simplified: no ∅, at
+				// most one ε — which may duplicate one seen here.
+				for _, t := range s.Sub {
+					if t.Op == OpEmpty {
+						if sawEmpty {
+							continue
+						}
+						sawEmpty = true
+					}
+					subs = append(subs, t)
+				}
 			case OpEmpty:
 				if !sawEmpty {
 					sawEmpty = true

@@ -314,7 +314,7 @@ type ShardInfo struct {
 	Rules      []string // rule names covered by this shard
 	DFAStates  int      // combined minimal DFA, live states
 	SFAStates  int      // combined D-SFA, live states
-	Layout     string   // resolved transition-table layout
+	Layout     string   // "class" (byte-class rows) or "lazy"
 	TableBytes int64    // resident match-table bytes
 	BuildID    uint64   // construction id; stable when Rebuild reuses the shard
 	// Prefilter is the shard's scan mode under the literal cascade:

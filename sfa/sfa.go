@@ -165,8 +165,8 @@ func WithShards(k int) Option { return func(c *config) { c.shards = k } }
 
 // WithShardStateBudget bounds each combined shard's D-SFA state count;
 // a shard that would exceed it is split and its rules spread greedily by
-// estimated automaton size. 0 uses the default budget (32 768 states,
-// the u16-layout ceiling). Compile ignores this option.
+// estimated automaton size. 0 uses the default budget (32 768 states).
+// Compile ignores this option.
 func WithShardStateBudget(n int) Option { return func(c *config) { c.shardBudget = n } }
 
 // WithShardCache points NewRuleSet's combined compiler at a

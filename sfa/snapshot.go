@@ -11,7 +11,7 @@ import (
 )
 
 // Rule-set snapshots: Save serializes a compiled combined RuleSet —
-// rule definitions, plan metadata, and every shard's width-specialized
+// rule definitions, plan metadata, and every shard's class-indexed
 // automaton and accept-mask table — and LoadRuleSet reconstructs it
 // without recompiling anything. Table III shows construction dominates
 // start-up; ROADMAP records 15–30 s cold builds for search-bracketed
